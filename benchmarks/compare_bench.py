@@ -31,7 +31,6 @@ TRACKED = {
     "BENCH_timer_smoke.json": ("speedup",),
     "BENCH_localopt_smoke.json": ("speedup",),
     "BENCH_parallel_smoke.json": (),
-    "BENCH_pool_smoke.json": (),
     "BENCH_kernel_smoke.json": ("speedup",),
     "BENCH_eco_smoke.json": ("speedup",),
     "BENCH_features_smoke.json": ("speedup",),
@@ -41,7 +40,6 @@ TRACKED = {
 FLAGS = {
     "BENCH_localopt_smoke.json": ("trajectory_identical",),
     "BENCH_parallel_smoke.json": ("trajectory_identical",),
-    "BENCH_pool_smoke.json": ("verdicts_identical",),
     "BENCH_kernel_smoke.json": ("kernel_identical",),
     "BENCH_eco_smoke.json": ("kernel_identical",),
     "BENCH_features_smoke.json": ("kernel_identical", "pooled_identical"),
@@ -68,12 +66,7 @@ CEILINGS = {
 #: like ceilings, but lower bounds: the metric is a structural speedup
 #: (work the optimization removes outright, not a machine-relative
 #: ratio), so the fresh value must clear the acceptance bar on its own.
-FLOORS = {
-    "BENCH_pool_smoke.json": {
-        "verify_epoch_speedup": 2.0,
-        "respawn_speedup": 5.0,
-    },
-}
+FLOORS: dict = {}
 
 
 def load(path: pathlib.Path):

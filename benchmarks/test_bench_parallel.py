@@ -110,7 +110,7 @@ def _report(tag, record):
         f"{record['trial_speedup']:.2f}x trial stage "
         f"(trajectory identical: {record['trajectory_identical']})",
         f"  pool     : {pool['verify_batches']} batches, "
-        f"{pool['verify_tasks']} tasks, {pool['sharded_batches']} sharded, "
+        f"{pool['verify_tasks']} tasks, "
         f"{pool['crashes']} crashes, "
         f"{pool['serial_fallbacks']} serial fallbacks, "
         f"concurrency {pool['verify_speedup']:.2f}",

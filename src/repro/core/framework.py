@@ -18,7 +18,7 @@ preserving Algorithm 1 as the per-arc realization engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,15 +59,10 @@ class GlobalOptConfig:
     LP solves and the per-sweep-point ECO realizations are independent,
     so each sweep point runs on its own worker; the fold over sweep
     points keeps the serial order and comparison, so the chosen tree is
-    the one the serial sweep would have chosen.
-
-    ``pool_backend`` selects the pool transport: ``"pipe"`` (reference)
-    ships the full realization context inside every sweep-point payload;
-    ``"shm"`` publishes the static context — library, stage LUTs,
-    compiled ECO planes — once into a shared-memory arena that workers
-    map zero-copy, so payloads carry only the per-point dynamics and the
-    scatter uses the event-driven work-stealing scheduler.  Either way
-    the fold is identical.
+    the one the serial sweep would have chosen.  The pool publishes the
+    static realization context — library, stage LUTs, compiled ECO
+    planes — once into a shared-memory arena that workers map zero-copy,
+    so sweep-point payloads carry only the per-point dynamics.
     """
 
     sweep_factors: Tuple[float, ...] = (1.0, 1.15, 1.5)
@@ -79,7 +74,10 @@ class GlobalOptConfig:
     improvement_eps_ps: float = 0.25
     workers: int = 1
     mp_context: Optional[str] = None
-    pool_backend: str = "pipe"
+    #: The pool's one transport (shared-memory arena + event-driven
+    #: scheduler).  A class constant, not a field: it is not a setting,
+    #: only named here for run records that report it.
+    pool_backend: ClassVar[str] = "shm"
 
 
 @dataclass
@@ -327,30 +325,17 @@ class GlobalOptimizer:
             self._problem, self._tech.stage_luts, cfg
         )
         pool = None
-        arena = None
         if cfg.workers > 1:
-            from repro.parallel.pool import WorkerPool
+            from repro.parallel.sweep import open_sweep_pool
 
-            if cfg.pool_backend == "shm":
-                from repro.parallel.shm import SharedPlaneArena
-                from repro.parallel.sweep import publish_sweep_arena
-
-                arena = SharedPlaneArena(tag="sweep")
-                publish_sweep_arena(arena, ctx, self._problem)
-            pool = WorkerPool(
-                cfg.workers,
-                mp_context=cfg.mp_context,
-                backend=cfg.pool_backend,
-                arena=arena,
-                tag="sweep",
+            pool = open_sweep_pool(
+                ctx, self._problem, cfg.workers, mp_context=cfg.mp_context
             )
         try:
             return self._run(tree, pool, ctx)
         finally:
             if pool is not None:
                 pool.close()
-            if arena is not None:
-                arena.close()
 
     def _run(self, tree: Optional[ClockTree], pool, ctx) -> GlobalOptResult:
         cfg = self._config
@@ -476,17 +461,8 @@ class GlobalOptimizer:
             from repro.netlist.serialize import tree_from_dict
             from repro.parallel.sweep import build_realize_payload
 
-            use_arena = pool.backend == "shm"
             payloads = [
-                build_realize_payload(
-                    ctx,
-                    problem,
-                    current,
-                    data,
-                    solution,
-                    allow_batches,
-                    use_arena=use_arena,
-                )
+                build_realize_payload(current, data, solution, allow_batches)
                 for _bound, solution in solutions
             ]
             remote = pool.call(

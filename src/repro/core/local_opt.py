@@ -64,8 +64,9 @@ class LocalOptConfig:
     #: trajectories.  Ignored when ``use_pipeline`` is False.
     feature_backend: str = "kernel"
     #: ``workers > 1`` fans the top-``R`` trial verification out to a
-    #: persistent process pool (:mod:`repro.parallel`): each worker holds
-    #: a delta-synced tree + timer replica and golden-verifies its shard.
+    #: persistent process pool (:mod:`repro.parallel`): each worker builds
+    #: a tree + timer replica from a shared-memory arena, keeps it
+    #: delta-synced, and golden-verifies the candidates it is handed.
     #: The reduce is deterministic, so the committed-move trajectory is
     #: bit-identical to the serial one.  ``workers == 1`` runs today's
     #: serial path exactly.  ``"auto"`` resolves against the CPUs
@@ -74,12 +75,6 @@ class LocalOptConfig:
     workers: object = 1
     #: Multiprocessing start method (``None`` = fork where available).
     mp_context: Optional[str] = None
-    #: Pool transport backend: ``"pipe"`` (reference — per-worker pipes,
-    #: static shards, in-order gather) or ``"shm"`` (shared-memory plane
-    #: arena + event-driven work-stealing gather).  Both commit
-    #: byte-identical trajectories; ``shm`` makes worker spawn/respawn
-    #: near-instant and hides stragglers.
-    pool_backend: str = "pipe"
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,6 @@ class LocalOptimizer:
                 workers,
                 local_skew_tolerance_ps=cfg.local_skew_tolerance_ps,
                 mp_context=cfg.mp_context,
-                backend=cfg.pool_backend,
             )
 
         try:

@@ -11,7 +11,8 @@ where the serial path would have executed it inline.
 Because worker-side spans use the same names as their serial
 equivalents (the spans live in shared code), the canonical span tree
 (:func:`span_tree` — the deduplicated, sorted set of name paths over
-the re-parented trace) is identical for any worker count: that is the
+the re-parented trace, with the pool's own transport spans left out) is
+identical for any worker count: that is the
 determinism contract the CI trace-schema job asserts between
 ``--workers 1`` and ``--workers 4`` runs.
 """
@@ -71,9 +72,9 @@ def load_events(path: str) -> List[Dict[str, object]]:
 
 def _span_index(
     events: List[Mapping[str, object]],
-) -> Dict[_SpanKey, Tuple[str, Optional[_SpanKey]]]:
-    """Map (lane, span) -> (name, parent key) from the start events."""
-    index: Dict[_SpanKey, Tuple[str, Optional[_SpanKey]]] = {}
+) -> Dict[_SpanKey, Tuple[str, Optional[_SpanKey], str]]:
+    """Map (lane, span) -> (name, parent key, phase) from the start events."""
+    index: Dict[_SpanKey, Tuple[str, Optional[_SpanKey], str]] = {}
     for event in events:
         if event.get("type") != "span_start":
             continue
@@ -85,12 +86,22 @@ def _span_index(
         else:
             parent_lane = int(event.get("parent_worker", lane))
             parent_key = (parent_lane, int(parent))
-        index[key] = (str(event.get("name", "")), parent_key)
+        index[key] = (
+            str(event.get("name", "")),
+            parent_key,
+            str(event.get("phase") or ""),
+        )
     return index
 
 
-def span_paths(events: List[Mapping[str, object]]) -> Dict[str, int]:
-    """Slash-joined name path -> number of spans on that path."""
+def span_paths(
+    events: List[Mapping[str, object]], skip_phase: Optional[str] = None
+) -> Dict[str, int]:
+    """Slash-joined name path -> number of spans on that path.
+
+    Spans of phase ``skip_phase`` are left out and their children hoisted
+    to the nearest kept ancestor.
+    """
     index = _span_index(events)
     path_cache: Dict[_SpanKey, str] = {}
 
@@ -107,26 +118,32 @@ def span_paths(events: List[Mapping[str, object]]) -> Dict[str, int]:
             if entry is None:
                 chain.append("<orphan>")
                 break
-            name, parent = entry
-            chain.append(name)
+            name, parent, phase = entry
+            if phase != skip_phase:
+                chain.append(name)
             cursor = parent
         path = "/".join(reversed(chain))
         path_cache[key] = path
         return path
 
     counts: Dict[str, int] = {}
-    for key in index:
+    for key, (_name, _parent, phase) in index.items():
+        if phase == skip_phase:
+            continue
         path = path_of(key)
         counts[path] = counts.get(path, 0) + 1
     return counts
 
 
 def span_tree(events: List[Mapping[str, object]]) -> List[str]:
-    """Canonical span tree: the sorted, deduplicated set of name paths.
+    """Canonical span tree: the sorted, deduplicated set of logical paths.
 
     Worker lanes are included after re-parenting, so a pooled run and a
     serial run of the same flow produce the same tree — span *counts*
     may differ (four workers each open their own ``verify`` span where
     the serial loop opens one), but the set of logical paths does not.
+    Transport spans (``phase="parallel"``: ``queue_wait``,
+    ``shm_attach``, ``shm_export``) exist only in pooled runs, so they
+    are skipped and their children hoisted to the enclosing span.
     """
-    return sorted(span_paths(events))
+    return sorted(span_paths(events, skip_phase="parallel"))

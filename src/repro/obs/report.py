@@ -42,20 +42,15 @@ def _self_times(
     """Per span: (name, parent, phase, self seconds)."""
     index = _span_index(events)
     durations = _span_durations(events)
-    phases: Dict[_SpanKey, str] = {}
-    for event in events:
-        if event.get("type") == "span_start":
-            key = (int(event.get("worker", 0)), int(event["span"]))
-            phases[key] = str(event.get("phase") or "-")
     child_sum: Dict[_SpanKey, float] = {}
-    for key, (_name, parent) in index.items():
+    for key, (_name, parent, _phase) in index.items():
         if parent is not None:
             child_sum[parent] = child_sum.get(parent, 0.0) + durations.get(key, 0.0)
     out: Dict[_SpanKey, Tuple[str, Optional[_SpanKey], str, float]] = {}
-    for key, (name, parent) in index.items():
+    for key, (name, parent, phase) in index.items():
         total = durations.get(key, 0.0)
         self_s = max(0.0, total - child_sum.get(key, 0.0))
-        out[key] = (name, parent, phases.get(key, "-"), self_s)
+        out[key] = (name, parent, phase or "-", self_s)
     return out
 
 

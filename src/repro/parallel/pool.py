@@ -1,39 +1,36 @@
 """Process-pool execution layer with persistent, delta-synced workers.
 
-Each worker process holds a long-lived :class:`~repro.parallel.replica.
-Replica` (tree + incremental timer) and serves requests over its own
-pipe, so the pool can address workers individually and detect a single
-worker's death without losing the batch.  Two request kinds exist:
+Each worker process serves requests over its own pipe, so the pool can
+address workers individually and detect a single worker's death without
+losing the batch.  Two request kinds exist:
 
 * ``verify`` — the local-opt fan-out: the request carries the slice of
-  the committed-move delta stream the worker hasn't seen yet plus its
-  assigned candidate shards (whole candidates, or candidate x corner
-  group when workers outnumber the batch).
+  the committed-move delta stream the worker hasn't seen yet plus one
+  candidate move to golden-verify on the worker's
+  :class:`~repro.parallel.replica.Replica` (tree + incremental timer).
 * ``call`` — a stateless remote procedure call used by the global flow's
-  U-sweep (independent LP solves and ECO realizations per sweep point).
-  The function is named ``"module:function"`` and must be importable in
-  the worker.
+  U-sweep (independent LP solves and ECO realizations per sweep point)
+  and by ``repro batch``.  The function is named ``"module:function"``
+  and must be importable in the worker.
 
-Crash policy: a worker that dies mid-request forfeits only its own
-shard.  The pool marks it dead, reports the shard as failed (the caller
-re-verifies it serially — bit-identical, just slower), and respawns dead
-workers before the next request; fresh workers resynchronize by
-replaying the full delta stream from the run's starting tree, which
-keeps their float state bit-identical to the survivors'.
+A pool may own a :class:`~repro.parallel.shm.SharedPlaneArena`: every
+worker maps it at spawn (replica pools build their replica from the
+published baseline, sweep pools read the static realization context),
+so no state crosses the pipe except requests and replies.  The spec-less
+``batch`` pool runs without one.
 
-Two transport backends exist.  ``pipe`` (the default, and the
-bit-identical reference) ships the replica spec to each worker at spawn
-and gathers verify replies in fixed worker order.  ``shm`` maps a
-:class:`~repro.parallel.shm.SharedPlaneArena` instead: workers attach
-the published baseline (zero-copy compiled planes), requests carry only
-delta suffixes and single tasks, and the gather is an event-driven
-``multiprocessing.connection.wait`` loop with work-stealing refill.  A
-worker dying mid-task under ``shm`` has its in-flight verify tasks
-requeued to the survivors (verification is pure), and its respawn
-re-attaches to the live arena generation.  Both backends fold results
-through the same index-keyed deterministic reduce, so committed-move
-trajectories are byte-identical across backends, worker counts, and
-completion orders.
+Both request kinds go through one event-driven scheduler: a shared task
+queue drained by a ``multiprocessing.connection.wait`` loop that refills
+whichever worker finishes first, so a straggler never blocks the batch.
+Crash policy: a worker dying mid-``verify`` has its in-flight task
+requeued to the survivors (verification is pure); a worker dying
+mid-``call`` forfeits only its in-flight payload (call targets are not
+assumed idempotent), which comes back as ``None`` for the caller to run
+serially.  Dead workers are respawned before the next request and
+re-attach to the live arena generation, replaying only the delta suffix
+past its baseline.  Results are keyed by task index, so the reduce —
+and every committed-move trajectory — is independent of worker count
+and completion order.
 """
 
 from __future__ import annotations
@@ -47,12 +44,12 @@ import traceback
 import weakref
 from collections import deque
 from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.moves import Move
 from repro.obs import trace as obs_trace
 from repro.parallel import shm as shm_arena
-from repro.parallel.replica import Replica, ReplicaSpec, VerifyOutcome
+from repro.parallel.replica import Replica, VerifyOutcome
 
 #: Exit code used by the test-only ``crash`` request.
 CRASH_EXIT_CODE = 13
@@ -136,20 +133,14 @@ def worker_arena() -> Optional[shm_arena.ArenaView]:
     return _WORKER_ARENA
 
 
-def _worker_main(
-    conn,
-    spec: Optional[ReplicaSpec],
-    lane: int = 0,
-    arena_name: Optional[str] = None,
-) -> None:
-    """Worker loop: build the replica once, then serve until told to exit.
+def _worker_main(conn, lane: int, arena_name: Optional[str] = None) -> None:
+    """Worker loop: attach the arena once, then serve until told to exit.
 
     The worker traces into its own observability lane and ships the
     drained span/metric events with every response — the parent merges
-    them into the run trace (or discards them when tracing is off).
-    With ``arena_name`` the worker attaches the shared-memory arena and
-    builds its replica from the published baseline (zero-copy planes)
-    instead of unpickling a spec shipped over the pipe.
+    them into the run trace (or discards them when tracing is off).  A
+    replica arena also yields the worker's replica, built from the
+    published baseline (zero-copy planes).
     """
     global _WORKER_ARENA
     tracer = obs_trace.activate(obs_trace.Tracer(worker=lane))
@@ -158,8 +149,6 @@ def _worker_main(
         _WORKER_ARENA = shm_arena.attach(arena_name)
         if _WORKER_ARENA.meta.get("kind") == "replica":
             replica = Replica.from_arena(_WORKER_ARENA)
-    elif spec is not None:
-        replica = Replica(spec)
     crash_after: Optional[int] = None
     while True:
         try:
@@ -181,25 +170,17 @@ def _worker_main(
             if op == "ping":
                 result: Any = replica.applied if replica else None
             elif op == "verify":
-                _, deltas, first_index, tasks = message
+                _, deltas, first_index, index, move = message
                 if replica is None:
-                    raise RuntimeError("pool has no replica spec")
+                    raise RuntimeError("pool has no replica arena")
                 if crash_after is not None:
                     if crash_after <= 0:
                         os._exit(CRASH_EXIT_CODE)
                     crash_after -= 1
                 with tracer.span("verify", phase="local") as span:
                     replica.sync(deltas, first_index)
-                    outcomes: List[VerifyOutcome] = []
-                    for index, move, corner_names in tasks:
-                        if corner_names is None:
-                            outcomes.append(replica.verify(index, move))
-                        else:
-                            outcomes.append(
-                                replica.verify_corners(index, move, corner_names)
-                            )
-                    span.set(tasks=len(tasks), synced=len(deltas))
-                result = outcomes
+                    result = replica.verify(index, move)
+                    span.set(synced=len(deltas))
             elif op == "call":
                 _, fn_spec, payload = message
                 result = _resolve(fn_spec)(payload)
@@ -249,35 +230,30 @@ class WorkerError(RuntimeError):
 
 
 class WorkerPool:
-    """Persistent pool of replica workers addressed over per-worker pipes."""
+    """Persistent pool of workers addressed over per-worker pipes.
+
+    ``arena`` is published by the caller and owned by the pool from
+    then on: workers map it at spawn and :meth:`close` unlinks it.
+    """
 
     def __init__(
         self,
         workers: int,
-        spec: Optional[ReplicaSpec] = None,
         mp_context: Optional[str] = None,
-        backend: str = "pipe",
         arena: Optional[shm_arena.SharedPlaneArena] = None,
         tag: str = "pool",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend not in ("pipe", "shm"):
-            raise ValueError("backend must be 'pipe' or 'shm'")
-        if backend == "shm" and arena is None:
-            raise ValueError("the shm backend requires a published arena")
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(mp_context)
-        self._spec = spec
         self._size = workers
-        self._backend = backend
         self._arena = arena
         self.tag = tag  # telemetry label ("verify", "sweep", "batch"...)
         self._closed = False
-        #: Tasks queued but not yet dispatched in the overlapped
-        #: scheduler (0 outside a batch / on the static pipe path).
+        #: Tasks queued but not yet dispatched (0 between requests).
         #: Plain int assignment, safe to read from the sampler thread.
         self._queue_depth = 0
         self._workers: List[_WorkerHandle] = []
@@ -288,7 +264,6 @@ class WorkerPool:
             "workers": workers,
             "verify_batches": 0,
             "verify_tasks": 0,
-            "sharded_batches": 0,
             "call_tasks": 0,
             "crashes": 0,
             "rebuilds": 0,
@@ -300,10 +275,10 @@ class WorkerPool:
             "compactions": 0,
         }
         #: Worker trace deltas from the most recent request, as
-        #: ``(lane, events)`` — per engaged worker for ``verify_batch``,
-        #: aligned with payload order (``None`` = crashed/orphaned) for
-        #: ``call``.  Callers holding an active tracer merge these via
-        #: :func:`repro.obs.merge.merge_worker_events`.
+        #: ``(lane, events)`` — per completed task in task order for
+        #: ``verify_batch``, aligned with payload order (``None`` =
+        #: crashed/orphaned) for ``call``.  Callers holding an active
+        #: tracer merge these via :func:`repro.obs.merge.merge_worker_events`.
         self.last_verify_obs: List[Tuple[int, List[Dict[str, object]]]] = []
         self.last_call_obs: List[Optional[Tuple[int, List[Dict[str, object]]]]] = []
         self._spawn_missing()
@@ -316,10 +291,6 @@ class WorkerPool:
     @property
     def size(self) -> int:
         return self._size
-
-    @property
-    def backend(self) -> str:
-        return self._backend
 
     def _arena_baseline(self) -> int:
         """Global delta index a freshly spawned worker starts from."""
@@ -334,20 +305,15 @@ class WorkerPool:
         # lane and (lane, span-id) keys never collide.
         lane = obs_trace.allocate_lane()
         parent_conn, child_conn = self._ctx.Pipe()
-        if self._arena is not None:
-            # The worker maps the live arena generation; the spec (and
-            # its tree payload) never crosses the pipe.
-            args = (child_conn, None, lane, self._arena.name)
-            synced = self._arena_baseline()
-        else:
-            args = (child_conn, self._spec, lane)
-            synced = 0
+        arena_name = self._arena.name if self._arena is not None else None
         process = self._ctx.Process(
-            target=_worker_main, args=args, daemon=True
+            target=_worker_main, args=(child_conn, lane, arena_name), daemon=True
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(process, parent_conn, lane, synced=synced)
+        return _WorkerHandle(
+            process, parent_conn, lane, synced=self._arena_baseline()
+        )
 
     def _spawn_missing(self) -> None:
         """Respawn dead workers until the pool is at full strength."""
@@ -391,6 +357,8 @@ class WorkerPool:
             worker.conn.close()
             worker.alive = False
         self._workers = []
+        if self._arena is not None:
+            self._arena.close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -436,6 +404,68 @@ class WorkerPool:
             raise WorkerError(payload)
         return payload
 
+    def _schedule(
+        self,
+        n_tasks: int,
+        message: Callable[[_WorkerHandle, int], Tuple],
+        requeue: bool,
+    ) -> Tuple[Dict[int, Any], List[Optional[Tuple[int, List[Dict[str, object]]]]]]:
+        """Event-driven scatter/gather of tasks ``0..n_tasks-1``.
+
+        Every live worker starts with one task; whichever finishes first
+        is refilled from the shared queue (``connection.wait``), so a
+        straggler never blocks the batch.  A task whose worker dies in
+        flight goes back on the queue when ``requeue`` is set and is
+        forfeited otherwise; tasks still queued when every worker is
+        dead are forfeited too.  Returns the results keyed by task index
+        plus each task's worker trace delta (``None`` = forfeited).
+        """
+        results: Dict[int, Any] = {}
+        obs: List[Optional[Tuple[int, List[Dict[str, object]]]]] = [None] * n_tasks
+        queue: deque = deque(range(n_tasks))
+        idle: List[_WorkerHandle] = [w for w in self._workers if w.alive]
+        fair = -(-n_tasks // max(len(idle), 1))
+        dispatched: Dict[int, int] = {}
+        inflight: Dict[Any, Tuple[_WorkerHandle, int]] = {}
+        waits = 0
+        with obs_trace.active().span("queue_wait", phase="parallel") as span:
+            while queue or inflight:
+                while queue and idle:
+                    worker = idle.pop(0)
+                    task = queue.popleft()
+                    if not self._send(worker, message(worker, task)):
+                        queue.appendleft(task)
+                        continue
+                    inflight[worker.conn] = (worker, task)
+                    count = dispatched.get(worker.lane, 0) + 1
+                    dispatched[worker.lane] = count
+                    if count > fair:
+                        self.stats["steals"] += 1
+                self._queue_depth = len(queue)
+                if not inflight:
+                    break  # every worker died; the queue is forfeited
+                waits += 1
+                for conn in connection.wait(list(inflight)):
+                    worker, task = inflight.pop(conn)
+                    try:
+                        results[task] = self._recv(worker)
+                    except WorkerCrash:
+                        if requeue:
+                            queue.append(task)
+                            self.stats["requeued"] += 1
+                        continue
+                    if worker.last_events:
+                        obs[task] = (worker.lane, worker.last_events)
+                    idle.append(worker)
+            span.set(
+                tasks=n_tasks,
+                waits=waits,
+                steals=int(self.stats["steals"]),
+                requeued=int(self.stats["requeued"]),
+            )
+        self._queue_depth = 0
+        return results, obs
+
     def load_snapshot(self) -> Dict[str, object]:
         """Point-in-time load view for the resource sampler thread.
 
@@ -462,7 +492,6 @@ class WorkerPool:
             )
         return {
             "tag": self.tag,
-            "backend": self._backend,
             "size": self._size,
             "queue_depth": self._queue_depth,
             "alive": sum(1 for w in per_worker if w["alive"]),
@@ -494,18 +523,12 @@ class WorkerPool:
         """Deltas still buffered (global count minus compacted prefix)."""
         return len(self._deltas)
 
-    def _sync_args(self, worker: _WorkerHandle) -> Tuple[List[Move], int]:
-        return self._deltas[worker.synced - self._delta_base :], worker.synced
-
     def compact_deltas(self) -> int:
         """Drop the delta prefix every consumer has passed; returns count.
 
         A prefix is droppable once every *live* worker's ``synced``
         watermark and the arena baseline (where respawned workers start
-        replaying) are both beyond it.  Without an arena the baseline is
-        move 0 — a fresh pipe worker replays from the run's starting
-        tree — so the stream is kept whole, matching the reference
-        backend's behavior.
+        replaying) are both beyond it.
         """
         floor = self._arena_baseline()
         for worker in self._workers:
@@ -522,229 +545,43 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Verification fan-out
     # ------------------------------------------------------------------
-    def _plan_shards(
-        self, moves: Sequence[Move], corner_names: Sequence[str]
-    ) -> Tuple[List[List[Tuple[int, Move, Optional[Tuple[str, ...]]]]], int]:
-        """Assign candidate (x corner-group) shards to workers.
+    def verify_batch(self, moves: Sequence[Move]) -> List[Optional[VerifyOutcome]]:
+        """Verify each candidate on a worker replica, in batch order.
 
-        Returns per-worker task lists plus the number of corner groups
-        each candidate was split into (1 = whole-candidate tasks).  When
-        workers outnumber the candidates, each candidate's corner set is
-        split across ``workers // len(moves)`` groups so idle workers
-        pick up corner slices instead of waiting.
+        ``None`` marks a candidate no worker could finish (every worker
+        died with it queued); the caller re-verifies those serially.
+        Dead workers are respawned before returning.
         """
-        n_workers = len(self._workers)
-        tasks: List[Tuple[int, Move, Optional[Tuple[str, ...]]]] = []
-        groups = 1
-        if len(moves) < n_workers and len(corner_names) >= 2:
-            groups = min(len(corner_names), n_workers // len(moves))
-        if groups > 1:
-            bounds = [
-                (g * len(corner_names)) // groups for g in range(groups + 1)
-            ]
-            for index, move in enumerate(moves):
-                for g in range(groups):
-                    names = tuple(corner_names[bounds[g] : bounds[g + 1]])
-                    tasks.append((index, move, names))
-        else:
-            tasks = [(index, move, None) for index, move in enumerate(moves)]
-        plans: List[List[Tuple[int, Move, Optional[Tuple[str, ...]]]]] = [
-            [] for _ in range(n_workers)
-        ]
-        for position, task in enumerate(tasks):
-            plans[position % n_workers].append(task)
-        return plans, groups
-
-    def verify_batch(
-        self, moves: Sequence[Move]
-    ) -> List[Optional[List[VerifyOutcome]]]:
-        """Fan a candidate batch out to the workers and gather outcomes.
-
-        Returns, per candidate index, the list of its outcome shards
-        (one element unless corner-sharded) — or ``None`` for candidates
-        whose worker died; the caller re-verifies those serially.  Dead
-        workers are respawned before returning.
-
-        The ``pipe`` backend sends each worker its whole statically
-        planned shard list and gathers replies in fixed worker order
-        (the bit-identical reference).  The ``shm`` backend streams
-        tasks one at a time through an event loop — see
-        :meth:`_verify_batch_overlapped`.  Both fold results through the
-        same index-keyed deterministic reduce, so verdicts are identical
-        for any backend, worker count, or completion order.
-        """
-        if self._spec is None:
-            raise RuntimeError("verify_batch requires a pool built with a spec")
+        if self._arena is None or self._arena.meta.get("kind") != "replica":
+            raise RuntimeError("verify_batch requires a pool with a replica arena")
         if not moves:
             return []
         started = time.perf_counter()
         self._spawn_missing()
         self.stats["verify_batches"] += 1
         self.stats["verify_tasks"] += len(moves)
-        if self._backend == "shm":
-            shards, failed, groups = self._verify_batch_overlapped(moves)
-        else:
-            shards, failed, groups = self._verify_batch_static(moves)
-        # A candidate misses the cut when any of its shards is absent —
-        # its worker crashed, or never received the plan (send failed).
-        for index in range(len(moves)):
-            if len(shards.get(index, ())) != groups:
-                failed.add(index)
-        self.stats["failed_shards"] += len(failed)
+        head = self.committed
+
+        def message(worker: _WorkerHandle, index: int) -> Tuple:
+            # Ship the delta suffix this worker has not replayed yet; a
+            # failed send marks the worker dead, so the watermark can
+            # advance before the send.
+            deltas = self._deltas[worker.synced - self._delta_base :]
+            first_index = worker.synced
+            worker.synced = head
+            return ("verify", deltas, first_index, index, moves[index])
+
+        results, obs = self._schedule(len(moves), message, requeue=True)
+        self.last_verify_obs = [entry for entry in obs if entry is not None]
+        for outcome in results.values():
+            self.stats["worker_busy_s"] += outcome.eval_s
+        self.stats["failed_shards"] += len(moves) - len(results)
         self._spawn_missing()
         self.stats["verify_wall_s"] += time.perf_counter() - started
-        return [
-            None if index in failed else shards[index]
-            for index in range(len(moves))
-        ]
-
-    def _verify_batch_static(
-        self, moves: Sequence[Move]
-    ) -> Tuple[Dict[int, List[VerifyOutcome]], Set[int], int]:
-        """Reference gather: static plans, fixed-worker-order receive."""
-        corner_names = [c.name for c in self._spec.library.corners]
-        plans, groups = self._plan_shards(moves, corner_names)
-        if groups > 1:
-            self.stats["sharded_batches"] += 1
-
-        engaged: List[Tuple[_WorkerHandle, List]] = []
-        for worker, plan in zip(self._workers, plans):
-            if not plan:
-                continue
-            deltas, first_index = self._sync_args(worker)
-            if self._send(worker, ("verify", deltas, first_index, plan)):
-                engaged.append((worker, plan))
-
-        shards: Dict[int, List[VerifyOutcome]] = {}
-        failed: Set[int] = set()
-        self.last_verify_obs = []
-        for worker, plan in engaged:
-            try:
-                outcomes = self._recv(worker)
-            except WorkerCrash:
-                failed.update(index for index, _, _ in plan)
-                continue
-            if worker.last_events:
-                self.last_verify_obs.append((worker.lane, worker.last_events))
-            worker.synced = self.committed
-            for outcome in outcomes:
-                shards.setdefault(outcome.index, []).append(outcome)
-                self.stats["worker_busy_s"] += outcome.eval_s
-        return shards, failed, groups
-
-    def _plan_tasks(
-        self, moves: Sequence[Move], corner_names: Sequence[str]
-    ) -> Tuple[List[Tuple[int, Move, Optional[Tuple[str, ...]]]], int]:
-        """Flat task queue for the overlapped scheduler.
-
-        Kernel-backend replicas retime *every* corner in one batched
-        pass regardless of the subset requested, so corner-sharding
-        multiplies total work by the group count for zero kernel-path
-        savings — whole-candidate tasks are strictly cheaper and the
-        dynamic refill keeps stragglers from idling the pool.  The
-        reference backend propagates per corner, so its corner groups
-        still pay off when workers outnumber the batch and are kept.
-        """
-        n_workers = max(len(self._workers), 1)
-        groups = 1
-        if (
-            self._spec.wire_backend != "kernel"
-            and len(moves) < n_workers
-            and len(corner_names) >= 2
-        ):
-            groups = min(len(corner_names), n_workers // len(moves))
-        if groups > 1:
-            bounds = [
-                (g * len(corner_names)) // groups for g in range(groups + 1)
-            ]
-            tasks = [
-                (index, move, tuple(corner_names[bounds[g] : bounds[g + 1]]))
-                for index, move in enumerate(moves)
-                for g in range(groups)
-            ]
-        else:
-            tasks = [(index, move, None) for index, move in enumerate(moves)]
-        return tasks, groups
-
-    def _verify_batch_overlapped(
-        self, moves: Sequence[Move]
-    ) -> Tuple[Dict[int, List[VerifyOutcome]], Set[int], int]:
-        """Event-driven gather: ``connection.wait`` + work-stealing refill.
-
-        Every worker starts with one task; whichever finishes first is
-        refilled from the shared queue, so a straggler never blocks the
-        batch (no head-of-line gather order).  A worker that dies
-        mid-task has its in-flight task requeued to the survivors —
-        verification is a pure function of (replica state, move), so
-        re-execution is safe.  Determinism: results are keyed by
-        candidate index and merged in library corner order downstream,
-        which makes the reduce independent of completion order.
-        """
-        corner_names = [c.name for c in self._spec.library.corners]
-        tasks, groups = self._plan_tasks(moves, corner_names)
-        if groups > 1:
-            self.stats["sharded_batches"] += 1
-        queue: deque = deque(tasks)
-        shards: Dict[int, List[VerifyOutcome]] = {}
-        self.last_verify_obs = []
-        idle: List[_WorkerHandle] = [w for w in self._workers if w.alive]
-        fair = -(-len(tasks) // max(len(idle), 1))
-        dispatched: Dict[int, int] = {}
-        inflight: Dict[Any, Tuple[_WorkerHandle, Tuple]] = {}
-        head = self.committed
-        waits = 0
-        tracer = obs_trace.active()
-        with tracer.span("queue_wait", phase="parallel") as span:
-            while queue or inflight:
-                while queue and idle:
-                    worker = idle.pop(0)
-                    task = queue.popleft()
-                    deltas, first_index = self._sync_args(worker)
-                    sent = self._send(
-                        worker, ("verify", deltas, first_index, [task])
-                    )
-                    if not sent:
-                        queue.appendleft(task)
-                        continue
-                    worker.synced = head
-                    inflight[worker.conn] = (worker, task)
-                    count = dispatched.get(worker.lane, 0) + 1
-                    dispatched[worker.lane] = count
-                    if count > fair:
-                        self.stats["steals"] += 1
-                self._queue_depth = len(queue)
-                if not inflight:
-                    break  # every worker died; leftovers fail below
-                ready = connection.wait(list(inflight))
-                waits += 1
-                for conn in ready:
-                    worker, task = inflight.pop(conn)
-                    try:
-                        outcomes = self._recv(worker)
-                    except WorkerCrash:
-                        queue.append(task)
-                        self.stats["requeued"] += 1
-                        continue
-                    if worker.last_events:
-                        self.last_verify_obs.append(
-                            (worker.lane, worker.last_events)
-                        )
-                    for outcome in outcomes:
-                        shards.setdefault(outcome.index, []).append(outcome)
-                        self.stats["worker_busy_s"] += outcome.eval_s
-                    idle.append(worker)
-            span.set(
-                tasks=len(tasks),
-                waits=waits,
-                steals=int(self.stats["steals"]),
-                requeued=int(self.stats["requeued"]),
-            )
-        self._queue_depth = 0
-        failed: Set[int] = {index for index, _, _ in queue}
-        return shards, failed, groups
+        return [results.get(index) for index in range(len(moves))]
 
     # ------------------------------------------------------------------
-    # Stateless remote calls (U-sweep)
+    # Stateless remote calls (U-sweep, batch)
     # ------------------------------------------------------------------
     def call(
         self, fn_spec: str, payloads: Sequence[Any]
@@ -752,92 +589,21 @@ class WorkerPool:
         """Scatter ``payloads`` over the workers; ``None`` marks a crash.
 
         Results keep payload order.  Worker exceptions propagate as
-        :class:`WorkerError` (they are bugs, not crashes); a dead worker
-        yields ``None`` for its payloads and is respawned.
-
-        The ``shm`` backend drains one shared payload queue through the
-        event loop instead of static round-robin queues: only the
-        in-flight payload of a crashed worker is forfeited (call targets
-        are not assumed idempotent) — its queued payloads migrate to the
-        survivors.
+        :class:`WorkerError` (they are bugs, not crashes); a worker that
+        dies forfeits only its in-flight payload, its queued ones go to
+        the survivors, and it is respawned.
         """
         if not payloads:
             return []
         self._spawn_missing()
         self.stats["call_tasks"] += len(payloads)
-        if self._backend == "shm":
-            results = self._call_overlapped(fn_spec, payloads)
-            self._spawn_missing()
-            return results
-        assignments: List[List[int]] = [[] for _ in self._workers]
-        for position in range(len(payloads)):
-            assignments[position % len(self._workers)].append(position)
-
-        results: List[Optional[Any]] = [None] * len(payloads)
-        self.last_call_obs = [None] * len(payloads)
-        # Round-robin queues: send one payload per worker, receive, send
-        # the next, so a worker crash costs only its in-flight payload.
-        pending = [list(queue) for queue in assignments]
-        inflight: Dict[int, int] = {}
-        for worker_index, worker in enumerate(self._workers):
-            if pending[worker_index]:
-                position = pending[worker_index].pop(0)
-                if self._send(worker, ("call", fn_spec, payloads[position])):
-                    inflight[worker_index] = position
-        while inflight:
-            for worker_index in list(inflight):
-                worker = self._workers[worker_index]
-                position = inflight.pop(worker_index)
-                try:
-                    results[position] = self._recv(worker)
-                except WorkerCrash:
-                    continue
-                if worker.last_events:
-                    self.last_call_obs[position] = (worker.lane, worker.last_events)
-                if pending[worker_index]:
-                    nxt = pending[worker_index].pop(0)
-                    if self._send(
-                        worker, ("call", fn_spec, payloads[nxt])
-                    ):
-                        inflight[worker_index] = nxt
-        # Orphaned payloads (their worker died before send): leave None.
+        results, self.last_call_obs = self._schedule(
+            len(payloads),
+            lambda _worker, position: ("call", fn_spec, payloads[position]),
+            requeue=False,
+        )
         self._spawn_missing()
-        return results
-
-    def _call_overlapped(
-        self, fn_spec: str, payloads: Sequence[Any]
-    ) -> List[Optional[Any]]:
-        """Event-driven scatter over one shared payload queue."""
-        results: List[Optional[Any]] = [None] * len(payloads)
-        self.last_call_obs = [None] * len(payloads)
-        queue: deque = deque(range(len(payloads)))
-        idle: List[_WorkerHandle] = [w for w in self._workers if w.alive]
-        inflight: Dict[Any, Tuple[_WorkerHandle, int]] = {}
-        while queue or inflight:
-            while queue and idle:
-                worker = idle.pop(0)
-                position = queue.popleft()
-                if self._send(worker, ("call", fn_spec, payloads[position])):
-                    inflight[worker.conn] = (worker, position)
-                else:
-                    queue.appendleft(position)
-            self._queue_depth = len(queue)
-            if not inflight:
-                break
-            for conn in connection.wait(list(inflight)):
-                worker, position = inflight.pop(conn)
-                try:
-                    results[position] = self._recv(worker)
-                except WorkerCrash:
-                    continue
-                if worker.last_events:
-                    self.last_call_obs[position] = (
-                        worker.lane,
-                        worker.last_events,
-                    )
-                idle.append(worker)
-        self._queue_depth = 0
-        return results
+        return [results.get(position) for position in range(len(payloads))]
 
     # ------------------------------------------------------------------
     # Test support
@@ -851,7 +617,7 @@ class WorkerPool:
     def crash_worker_after(self, index: int, requests: int) -> None:
         """Arm worker ``index`` to die after serving ``requests`` more
         verify requests — from the pool's viewpoint the next task is in
-        flight when it dies (exercises mid-steal requeue in tests)."""
+        flight when it dies (exercises mid-batch requeue in tests)."""
         worker = self._workers[index]
         if self._send(worker, ("crash_after", requests)):
             self._recv(worker)

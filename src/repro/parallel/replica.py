@@ -26,7 +26,7 @@ import dataclasses
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.core.moves import Move, apply_move_undoable, undo_move
 from repro.eco.legalize import Legalizer
@@ -75,50 +75,27 @@ class ReplicaSpec:
 
 @dataclass(frozen=True)
 class VerifyOutcome:
-    """One candidate's verification result, as sent back to the pool.
-
-    Whole-candidate verification fills ``total_variation``/``degraded``;
-    corner-sharded verification fills ``latencies`` instead (the main
-    process merges the shards and finishes the skew analysis there).
-    """
+    """One candidate's verification result, as sent back to the pool."""
 
     index: int
-    total_variation: Optional[float] = None
-    degraded: Optional[bool] = None
-    latencies: Optional[Dict[str, Dict[int, float]]] = None
+    total_variation: float
+    degraded: bool
     eval_s: float = 0.0
 
 
 class Replica:
     """A long-lived tree + timer replica that stays in sync via deltas."""
 
-    def __init__(self, spec: ReplicaSpec) -> None:
-        self.spec = spec
-        self.tree = tree_from_dict(spec.tree_payload)
-        self.engine = IncrementalTimer(
-            spec.library,
-            wire_metric=spec.wire_metric,
-            segment_um=spec.segment_um,
-            wire_backend=spec.wire_backend,
-        )
-        self.engine.ensure(self.tree)
-        #: Number of committed moves replayed so far.
-        self.applied = 0
+    def __init__(self, spec: ReplicaSpec, view=None) -> None:
+        """Build from ``spec``; ``view`` is the arena it was published in.
 
-    @classmethod
-    def from_arena(cls, view) -> "Replica":
-        """Build a replica from an attached shared-memory arena view.
-
-        The arena's spec blob carries the tree *as of the arena's
-        baseline index*; when the publisher also exported its kernel
-        planes and state, the engine adopts them directly (zero-copy
-        structure views + a baseline :class:`~repro.sta.kernel.
-        KernelState` whose arrays stay read-only shared memory — every
-        mutation path copies before writing), skipping the per-net
-        compile and full propagation entirely.
+        When the arena's publisher also exported its kernel planes and
+        state, the engine adopts them directly (zero-copy structure
+        views + a baseline :class:`~repro.sta.kernel.KernelState` whose
+        arrays stay read-only shared memory — every mutation path copies
+        before writing), skipping the per-net compile and full
+        propagation; otherwise the engine attaches with a full timing.
         """
-        spec: ReplicaSpec = pickle.loads(view.blob("spec"))
-        self = cls.__new__(cls)
         self.spec = spec
         self.tree = tree_from_dict(spec.tree_payload)
         self.engine = IncrementalTimer(
@@ -127,7 +104,7 @@ class Replica:
             segment_um=spec.segment_um,
             wire_backend=spec.wire_backend,
         )
-        corner_names = view.meta.get("corner_names")
+        corner_names = view.meta.get("corner_names") if view is not None else None
         if (
             spec.wire_backend == "kernel"
             and corner_names
@@ -152,9 +129,20 @@ class Replica:
             self.engine.adopt_compiled(self.tree, compiled, state)
         else:
             self.engine.ensure(self.tree)
-        #: Replay starts at the arena baseline, not the run's move 0.
-        self.applied = int(view.meta.get("baseline_index", 0))
-        return self
+        #: Number of committed moves replayed so far (replay starts at
+        #: the arena baseline, not the run's move 0).
+        self.applied = (
+            int(view.meta.get("baseline_index", 0)) if view is not None else 0
+        )
+
+    @classmethod
+    def from_arena(cls, view) -> "Replica":
+        """Build a replica from an attached shared-memory arena view.
+
+        The arena's spec blob carries the tree *as of the arena's
+        baseline index*.
+        """
+        return cls(pickle.loads(view.blob("spec")), view)
 
     # ------------------------------------------------------------------
     def sync(self, deltas: Sequence[Move], first_index: int) -> None:
@@ -205,27 +193,6 @@ class Replica:
             eval_s=time.perf_counter() - started,
         )
 
-    def verify_corners(
-        self, index: int, move: Move, corner_names: Sequence[str]
-    ) -> VerifyOutcome:
-        """Verify one candidate at a corner subset (corner-sharded mode)."""
-        started = time.perf_counter()
-        undo = apply_move_undoable(
-            self.tree, self.spec.legalizer, self.spec.library, move
-        )
-        try:
-            latencies = self.engine.preview_latencies(
-                self.tree, undo.dirty, corner_names
-            )
-        finally:
-            undo_move(self.tree, undo)
-            self.engine.rebase(self.tree)
-        return VerifyOutcome(
-            index=index,
-            latencies=latencies,
-            eval_s=time.perf_counter() - started,
-        )
-
     # ------------------------------------------------------------------
     def evaluate(self) -> TimingResult:
         """Full timing of the replica's current state (test support)."""
@@ -244,8 +211,8 @@ def publish_replica_arena(
     generation replay only the delta suffix.  When ``engine`` is an
     attached kernel-backend :class:`IncrementalTimer`, its compiled SoA
     planes and propagation state ride along and workers adopt them
-    instead of recompiling (see :meth:`Replica.from_arena`); otherwise
-    the arena still spares the per-spawn spec pickle.
+    instead of recompiling (see :class:`Replica`); otherwise workers
+    attach their engine with a full timing of the published tree.
     """
     snapshot_spec = dataclasses.replace(spec, tree_payload=tree_to_dict(tree))
     blobs = {"spec": pickle.dumps(snapshot_spec, protocol=5)}
@@ -264,26 +231,3 @@ def publish_replica_arena(
         meta["corner_names"] = [c.name for c in compiled.corners]
     return arena.export(blobs, arrays, meta)
 
-
-def merge_sharded_outcome(
-    spec: ReplicaSpec, shards: Sequence[VerifyOutcome]
-) -> Tuple[float, bool]:
-    """Combine corner-sharded latencies into the verification verdict.
-
-    Runs the same :meth:`SkewAnalysis.from_latencies` the engine's
-    snapshot runs, over latencies assembled in library corner order, so
-    the result is bit-identical to a whole-candidate verification.
-    """
-    merged: Dict[str, Dict[int, float]] = {}
-    by_name: Dict[str, Dict[int, float]] = {}
-    for shard in shards:
-        by_name.update(shard.latencies or {})
-    for corner in spec.library.corners:
-        merged[corner.name] = by_name[corner.name]
-    skews = SkewAnalysis.from_latencies(
-        merged, list(spec.pairs), spec.library.corners, spec.alphas
-    )
-    degraded = skews.degraded_local_skew(
-        spec.baseline_skews, tol_ps=spec.local_skew_tolerance_ps
-    )
-    return skews.total_variation, degraded

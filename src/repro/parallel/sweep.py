@@ -1,20 +1,17 @@
-"""Worker-side entry points for the parallel U-sweep (global flow).
+"""The global flow's U-sweep pool and its worker-side entry points.
 
 The global flow's sweep points are embarrassingly parallel: each solves
 Eq. (4) at its own bound and realizes the resulting plan starting from
-the *same* base tree.  These functions are the ``"module:function"``
-targets :meth:`repro.parallel.pool.WorkerPool.call` resolves inside a
-worker process; payloads are self-contained (tree payload + frozen
-problem artifacts) so the workers need no replica state.
-
-With the shm pool backend the static realization context — library,
-stage LUTs, legalizer, region, frozen baseline artifacts — is published
-once into the pool's :class:`~repro.parallel.shm.SharedPlaneArena`
-(:func:`publish_sweep_arena`) together with the compiled ECO
-:class:`~repro.tech.stage_lut.StageLUTPlanes` arrays; per-point payloads
-then carry only the dynamic part (tree, LP data, solution), and workers
-seed their stage-LUT plane memos with zero-copy views of the shared
-arrays instead of recompiling them.
+the *same* base tree.  :func:`open_sweep_pool` publishes the static
+realization context — library, stage LUTs, legalizer, region, frozen
+baseline artifacts — once into the pool's
+:class:`~repro.parallel.shm.SharedPlaneArena` together with the compiled
+ECO :class:`~repro.tech.stage_lut.StageLUTPlanes` arrays.  The other
+functions are the ``"module:function"`` targets
+:meth:`repro.parallel.pool.WorkerPool.call` resolves inside a worker:
+per-point payloads carry only the dynamic part (tree, LP data,
+solution), and workers seed their stage-LUT plane memos with zero-copy
+views of the shared arrays instead of recompiling them.
 """
 
 from __future__ import annotations
@@ -23,6 +20,8 @@ import pickle
 from typing import Any, Dict, Tuple
 
 from repro.netlist.serialize import tree_from_dict, tree_to_dict
+from repro.parallel.pool import WorkerPool, worker_arena
+from repro.parallel.shm import SharedPlaneArena
 from repro.sta.incremental import IncrementalTimer
 
 #: Per-worker cache of the unpickled shared sweep context (the arena is
@@ -41,8 +40,8 @@ def solve_bound(payload: Tuple[Any, float]):
     return lp.minimize_changes(bound)
 
 
-def publish_sweep_arena(arena, ctx, problem) -> str:
-    """Export the static sweep context (and ECO planes) into ``arena``."""
+def open_sweep_pool(ctx, problem, workers: int, mp_context=None):
+    """A ``sweep`` pool whose arena holds the static context and ECO planes."""
     ctx_payload = {
         "library": ctx.library,
         "stage_luts": ctx.stage_luts,
@@ -82,8 +81,9 @@ def publish_sweep_arena(arena, ctx, problem) -> str:
                 "wl_axis": list(planes.wl_axis),
             }
         )
-    meta = {"kind": "sweep", "eco_planes": eco_planes}
-    return arena.export(blobs, arrays, meta)
+    arena = SharedPlaneArena(tag="sweep")
+    arena.export(blobs, arrays, {"kind": "sweep", "eco_planes": eco_planes})
+    return WorkerPool(workers, mp_context=mp_context, arena=arena, tag="sweep")
 
 
 def _arena_context() -> Dict[str, Any]:
@@ -93,12 +93,11 @@ def _arena_context() -> Dict[str, Any]:
     are seeded with read-only views of the shared plane arrays, so the
     ECO candidate kernel compiles from zero-copy data.
     """
-    from repro.parallel.pool import worker_arena
     from repro.tech.stage_lut import StageLUTPlanes
 
     view = worker_arena()
     if view is None:
-        raise RuntimeError("arena-relative sweep payload without an arena")
+        raise RuntimeError("sweep payload outside a sweep pool worker")
     cached = _SWEEP_CTX.get(view.generation)
     if cached is not None:
         return cached
@@ -128,38 +127,33 @@ def _arena_context() -> Dict[str, Any]:
 def realize_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Realize one sweep point's LP plan inside a worker.
 
-    Rebuilds the tree and a :class:`RealizationContext` from the
-    payload, runs the same :func:`realize_verified_plan` the serial
-    path runs, and ships the realized tree back serialized (the main
-    process re-evaluates it with its own engine before the fold).
-    Arena-relative payloads (``use_arena``) pull the static context from
-    the worker's attached shared-memory arena.
+    Rebuilds the tree from the payload and a :class:`RealizationContext`
+    from the arena's static context, runs the same
+    :func:`realize_verified_plan` the serial path runs, and ships the
+    realized tree back serialized (the main process re-evaluates it with
+    its own engine before the fold).
     """
     from repro.core.framework import RealizationContext, realize_verified_plan
 
-    if payload.get("use_arena"):
-        merged = dict(_arena_context())
-        merged.update(payload)
-        payload = merged
-
+    static = _arena_context()
     tree = tree_from_dict(payload["tree"])
     engine = IncrementalTimer(
-        payload["library"],
-        wire_metric=payload["wire_metric"],
-        segment_um=payload["segment_um"],
-        wire_backend=payload.get("wire_backend", "kernel"),
+        static["library"],
+        wire_metric=static["wire_metric"],
+        segment_um=static["segment_um"],
+        wire_backend=static["wire_backend"],
     )
     ctx = RealizationContext(
-        library=payload["library"],
-        stage_luts=payload["stage_luts"],
-        legalizer=payload["legalizer"],
-        region=payload["region"],
-        pairs=payload["pairs"],
-        alphas=payload["alphas"],
-        baseline_skews=payload["baseline_skews"],
-        eco_config=payload["eco_config"],
-        batch_size=payload["batch_size"],
-        improvement_eps_ps=payload["improvement_eps_ps"],
+        library=static["library"],
+        stage_luts=static["stage_luts"],
+        legalizer=static["legalizer"],
+        region=static["region"],
+        pairs=static["pairs"],
+        alphas=static["alphas"],
+        baseline_skews=static["baseline_skews"],
+        eco_config=static["eco_config"],
+        batch_size=static["batch_size"],
+        improvement_eps_ps=static["improvement_eps_ps"],
         engine=engine,
     )
     realized, _result, stats, eco_stats = realize_verified_plan(
@@ -176,36 +170,11 @@ def realize_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def build_realize_payload(
-    ctx, problem, tree, data, solution, allow_batches: bool, use_arena: bool = False
-) -> Dict[str, Any]:
-    """Package one sweep point for :func:`realize_point`.
-
-    ``use_arena`` payloads ship only the dynamic per-point part — the
-    static context rides in the pool's shared-memory arena.
-    """
-    dynamic = {
+def build_realize_payload(tree, data, solution, allow_batches: bool) -> Dict[str, Any]:
+    """Package one sweep point's dynamic part for :func:`realize_point`."""
+    return {
         "tree": tree_to_dict(tree),
         "data": data,
         "solution": solution,
         "allow_batches": allow_batches,
-    }
-    if use_arena:
-        dynamic["use_arena"] = True
-        return dynamic
-    return {
-        **dynamic,
-        "library": ctx.library,
-        "stage_luts": ctx.stage_luts,
-        "legalizer": ctx.legalizer,
-        "region": ctx.region,
-        "pairs": list(ctx.pairs),
-        "alphas": dict(ctx.alphas),
-        "baseline_skews": ctx.baseline_skews,
-        "eco_config": ctx.eco_config,
-        "batch_size": ctx.batch_size,
-        "improvement_eps_ps": ctx.improvement_eps_ps,
-        "wire_metric": problem.timer.wire_metric,
-        "segment_um": problem.timer.segment_um,
-        "wire_backend": problem.timer.wire_backend,
     }

@@ -353,34 +353,6 @@ class IncrementalTimer:
         states = self._retime(tree, dirty)
         return self._snapshot(tree, states, pairs, alphas)
 
-    def preview_latencies(
-        self,
-        tree: ClockTree,
-        dirty: Iterable[int],
-        corner_names: Optional[Sequence[str]] = None,
-    ) -> Dict[str, Dict[int, float]]:
-        """Sink latencies of an applied-but-uncommitted mutation.
-
-        Like :meth:`preview`, but restricted to ``corner_names`` (default
-        all) and returning only ``{corner: {sink: arrival}}`` — the
-        corner-sharded payload a parallel verification worker sends back.
-        Each corner's propagation is independent, so a subset evaluation
-        is bit-identical to that corner's slice of a full preview.
-        """
-        names = (
-            tuple(corner_names)
-            if corner_names is not None
-            else tuple(c.name for c in self._library.corners)
-        )
-        if self._kstate is not None:
-            state, _, compiled = self._kernel_retime(tree, dirty)
-            return compiled.sink_latencies(state, tree.sinks(), names)
-        states = self._retime(tree, dirty, corner_names=names)
-        sinks = tree.sinks()
-        return {
-            name: {s: states[name].arrival[s] for s in sinks} for name in names
-        }
-
     def advance(
         self,
         tree: ClockTree,
@@ -461,22 +433,17 @@ class IncrementalTimer:
         tree: ClockTree,
         dirty: Iterable[int],
         touched: Optional[Tuple[set, set]] = None,
-        corner_names: Optional[Sequence[str]] = None,
     ) -> Dict[str, _CornerState]:
         if self._tree is not tree:
             raise ValueError(
                 "preview/advance requires the attached tree; call ensure() first"
             )
         self.stats["retimes"] += 1
-        corners = self._library.corners
-        if corner_names is not None:
-            wanted = set(corner_names)
-            corners = [c for c in corners if c.name in wanted]
         return {
             corner.name: self._retime_state(
                 tree, corner, self._states[corner.name], set(dirty), touched
             )
-            for corner in corners
+            for corner in self._library.corners
         }
 
     def _kernel_retime(

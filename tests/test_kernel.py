@@ -226,9 +226,9 @@ def test_local_opt_trajectory_identical_kernel_on_off(predictor):
 def test_pool_trajectory_identical_kernel_on_off(predictor):
     """A workers=4 pool run is byte-identical with the kernel on and off.
 
-    Workers outnumber the verification batch, so this exercises the
-    corner-sharded path with kernel-backed replicas on both sides of the
-    comparison.
+    Kernel-backed replicas adopt the arena's published planes; reference
+    replicas find none and attach with a full timing.  Both sides must
+    commit the same moves.
     """
     kernel_on = _trajectory(predictor, "kernel", workers=4)
     kernel_off = _trajectory(predictor, "reference", workers=4)

@@ -449,7 +449,16 @@ class TestTracedFlows:
         result_pool, pooled = self._run(mini_problem, predictor, 2)
         assert validate_events(serial) == []
         assert validate_events(pooled) == []
+        # The logical tree matches; the pool's transport spans
+        # (phase="parallel") are hoisted out of it, but worker wait is
+        # still named in the pooled trace itself.
         assert span_tree(serial) == span_tree(pooled)
+        assert any(
+            e["type"] == "span_start"
+            and e["name"] == "queue_wait"
+            and e["phase"] == "parallel"
+            for e in pooled
+        )
         # Bit-identical trajectories, as everywhere else.
         assert result_serial.final_objective_ps == pytest.approx(
             result_pool.final_objective_ps

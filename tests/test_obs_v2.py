@@ -232,9 +232,7 @@ class TestCrashRespawnTracing:
         with tracing() as tracer:
             tracer.meta(command="test")
             with tracer.span("run"):
-                with ParallelVerifier(
-                    problem, tree, workers=2, backend="shm"
-                ) as verifier:
+                with ParallelVerifier(problem, tree, workers=2) as verifier:
                     verifier._pool.crash_worker_after(0, 0)
                     verifier.verify_batch(tree, list(moves))
                     assert verifier._pool.stats["crashes"] == 1

@@ -6,37 +6,40 @@ The contracts under test:
   (bit-identical floats, same degradation flag);
 * replaying the committed-move delta stream keeps a replica's timing
   within 1e-9 ps of the main process (in practice: bit-identical);
-* corner-sharded verification merges to the whole-candidate verdict;
-* a worker crash mid-batch forfeits only its shard — the caller's
-  serial fallback produces correct results and the pool is rebuilt to
-  full strength for the next batch;
+* a worker crash mid-batch costs no verdict — its in-flight task is
+  requeued to the survivors, the main process re-verifies only what no
+  worker could finish, and the pool is rebuilt to full strength;
+* a worker killed inside a U-sweep ``call`` forfeits only its point,
+  which the global flow realizes serially — the tree is unchanged;
 * the parallel local-opt trajectory is identical to the serial one;
-* the shm backend — arena-born replicas, the event-driven overlapped
-  scheduler, mid-steal crash requeue, and delta compaction — produces
-  byte-identical verdicts and trajectories to the pipe reference, and
-  leaves no orphaned /dev/shm segments behind.
+* arena-born replicas, delta compaction and baseline republishing keep
+  verdicts bit-identical, and no /dev/shm segment is left behind.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
 
+from repro.core.framework import GlobalOptConfig, GlobalOptimizer
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
+from repro.netlist.serialize import tree_to_json
 from repro.parallel import (
+    CRASH_EXIT_CODE,
     ParallelVerifier,
     Replica,
     ReplicaSpec,
     SharedPlaneArena,
     WorkerPool,
     attach,
-    merge_sharded_outcome,
     publish_replica_arena,
 )
+from repro.parallel import sweep
 from repro.parallel.pool import effective_cpu_count, resolve_workers
 from repro.testcases.mini import build_mini
 
@@ -48,6 +51,20 @@ def _own_shm_segments():
         return sorted(f for f in os.listdir("/dev/shm") if f.startswith(prefix))
     except FileNotFoundError:  # non-Linux: nothing to assert against
         return []
+
+
+def _replica_pool(problem, tree, workers=2):
+    """A verify pool over a replica arena published from ``tree``."""
+    arena = SharedPlaneArena(tag="test")
+    publish_replica_arena(arena, ReplicaSpec.from_problem(problem, tree), tree)
+    return WorkerPool(workers, arena=arena, tag="verify")
+
+
+def _len_or_die(payload):
+    """``call`` target: ``len(payload)``, or kill the worker on ``"die"``."""
+    if payload == "die":
+        os._exit(CRASH_EXIT_CODE)
+    return len(payload)
 
 
 @pytest.fixture(scope="module")
@@ -130,24 +147,6 @@ class TestReplica:
         with pytest.raises(ValueError, match="gap"):
             replica.sync([move], first_index=3)
 
-    def test_sharded_merge_equals_whole_candidate(self, problem, moves):
-        tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        corner_names = [c.name for c in spec.library.corners]
-        assert len(corner_names) >= 2
-        split = len(corner_names) // 2
-        for index, move in enumerate(moves[:3]):
-            whole = Replica(spec).verify(index, move)
-            shard_a = Replica(spec).verify_corners(
-                index, move, corner_names[:split]
-            )
-            shard_b = Replica(spec).verify_corners(
-                index, move, corner_names[split:]
-            )
-            tv, degraded = merge_sharded_outcome(spec, [shard_b, shard_a])
-            assert tv == whole.total_variation
-            assert degraded == whole.degraded
-
 
 # ----------------------------------------------------------------------
 # WorkerPool
@@ -155,56 +154,37 @@ class TestReplica:
 class TestWorkerPool:
     def test_verify_batch_matches_serial(self, problem, moves):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        with WorkerPool(2, spec=spec) as pool:
+        with _replica_pool(problem, tree) as pool:
             gathered = pool.verify_batch(moves)
             assert len(gathered) == len(moves)
-            for move, shards in zip(moves, gathered):
-                assert shards is not None and len(shards) == 1
+            for index, (move, outcome) in enumerate(zip(moves, gathered)):
+                assert outcome is not None and outcome.index == index
                 tv, degraded = serial_verdict(problem, tree, move)
-                assert shards[0].total_variation == tv
-                assert shards[0].degraded == degraded
-
-    def test_corner_sharding_when_workers_outnumber_batch(self, problem, moves):
-        tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        n_corners = len(spec.library.corners)
-        with WorkerPool(4, spec=spec) as pool:
-            gathered = pool.verify_batch(moves[:2])
-            assert pool.stats["sharded_batches"] == 1
-            for move, shards in zip(moves[:2], gathered):
-                assert shards is not None
-                assert 2 <= len(shards) <= n_corners
-                tv, degraded = merge_sharded_outcome(spec, shards)
-                want_tv, want_degraded = serial_verdict(problem, tree, move)
-                assert tv == want_tv
-                assert degraded == want_degraded
+                assert outcome.total_variation == tv
+                assert outcome.degraded == degraded
+        assert _own_shm_segments() == []
 
     def test_crash_mid_batch_recovers_with_correct_results(self, problem, moves):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        with WorkerPool(2, spec=spec) as pool:
+        with _replica_pool(problem, tree) as pool:
             pool.crash_worker(0)
             gathered = pool.verify_batch(moves)
-            # The dead worker's shard is forfeited, the other's survives.
-            assert any(shards is None for shards in gathered)
-            assert any(shards is not None for shards in gathered)
+            # The dead worker forfeits nothing: the survivor takes its
+            # tasks, so every candidate comes back verified.
             assert pool.stats["crashes"] == 1
-            assert pool.stats["failed_shards"] > 0
-            for move, shards in zip(moves, gathered):
-                if shards is None:
-                    continue
+            assert pool.stats["failed_shards"] == 0
+            for move, outcome in zip(moves, gathered):
+                assert outcome is not None
                 tv, _ = serial_verdict(problem, tree, move)
-                assert shards[0].total_variation == tv
+                assert outcome.total_variation == tv
             # The pool rebuilt itself: next batch is fully parallel.
             assert pool.alive_workers() == 2
             gathered = pool.verify_batch(moves)
-            assert all(shards is not None for shards in gathered)
+            assert all(outcome is not None for outcome in gathered)
 
     def test_crash_after_commits_resyncs_fresh_worker(self, problem, moves):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        with WorkerPool(2, spec=spec) as pool:
+        with _replica_pool(problem, tree) as pool:
             committed = []
             for move in moves:
                 try:
@@ -218,23 +198,18 @@ class TestWorkerPool:
             assert len(committed) == 2
             pool.crash_worker(0)
             pool.crash_worker(1)
-            # Every shard of this batch is forfeited (both workers died
-            # mid-flight); the pool rebuilds afterwards.
+            # Every task of this batch is forfeited (no worker is left
+            # to requeue to); the pool rebuilds afterwards.
             gathered = pool.verify_batch(moves[:2])
-            assert all(shards is None for shards in gathered)
+            assert all(outcome is None for outcome in gathered)
             assert pool.alive_workers() == 2
-            # Fresh workers replay the full delta stream from the
-            # starting tree, so verdicts match the advanced main engine.
+            # Fresh workers replay the full delta stream from the arena
+            # baseline, so verdicts match the advanced main engine.
             gathered = pool.verify_batch(moves[:2])
-            for move, shards in zip(moves[:2], gathered):
-                assert shards is not None
+            for move, outcome in zip(moves[:2], gathered):
+                assert outcome is not None
                 tv, degraded = serial_verdict(problem, tree, move)
-                merged = (
-                    merge_sharded_outcome(spec, shards)
-                    if shards[0].latencies is not None
-                    else (shards[0].total_variation, shards[0].degraded)
-                )
-                assert merged == (tv, degraded)
+                assert (outcome.total_variation, outcome.degraded) == (tv, degraded)
 
     def test_call_scatters_and_keeps_order(self):
         with WorkerPool(2) as pool:
@@ -244,10 +219,13 @@ class TestWorkerPool:
 
     def test_call_crash_yields_none_for_forfeited_payloads(self):
         with WorkerPool(2) as pool:
-            pool.crash_worker(0)
-            results = pool.call("builtins:len", [[1]] * 4)
-            assert results.count(None) > 0
-            assert all(r == 1 for r in results if r is not None)
+            # The worker that takes "die" exits with it in flight: that
+            # payload alone is forfeited, the rest go to the survivor.
+            results = pool.call(
+                f"{__name__}:_len_or_die", [[1], "die", [1], [1], [1]]
+            )
+            assert results == [1, None, 1, 1, 1]
+            assert pool.stats["crashes"] == 1
             # Dead worker respawned for subsequent calls.
             assert pool.alive_workers() == 2
             assert pool.call("builtins:len", [[1]] * 4) == [1, 1, 1, 1]
@@ -289,15 +267,19 @@ class TestParallelLocalOpt:
         assert serial_outcome.stats["parallel"] is None
 
     def test_sharded_workers_trajectory_identical(self, predictor):
+        """Workers outnumber the batch (5 workers, top-R of 2)."""
         serial, _ = self._run(predictor, workers=1, top_r=2, iterations=2)
         parallel, outcome = self._run(predictor, workers=5, top_r=2, iterations=2)
         assert serial == parallel
-        assert outcome.stats["parallel"]["sharded_batches"] > 0
+        assert outcome.stats["parallel"]["verify_batches"] > 0
 
     def test_verifier_serial_fallback_matches(self, problem, moves):
         tree = problem.design.tree.clone()
         with ParallelVerifier(problem, tree, workers=2) as verifier:
-            verifier._pool.crash_worker(0)
+            # Both workers die with their first task in flight: nothing
+            # is left to requeue to, so the main process verifies.
+            verifier._pool.crash_worker_after(0, 0)
+            verifier._pool.crash_worker_after(1, 0)
             verdicts = verifier.verify_batch(tree, list(moves))
             assert verifier.stats_dict()["serial_fallbacks"] > 0
             for move, (tv, degraded) in zip(moves, verdicts):
@@ -310,9 +292,9 @@ class TestParallelLocalOpt:
 # Shared-memory arena
 # ----------------------------------------------------------------------
 class TestSharedArena:
-    def test_arena_replica_bit_identical_to_pipe_replica(self, problem, moves):
+    def test_arena_replica_bit_identical_to_serial_engine(self, problem, moves):
         tree = problem.design.tree.clone()
-        problem.evaluate(tree)  # attach the main engine (kernel planes)
+        serial = problem.evaluate(tree)  # attaches the main engine (planes)
         spec = ReplicaSpec.from_problem(problem, tree)
         arena = SharedPlaneArena(tag="test")
         try:
@@ -322,15 +304,14 @@ class TestSharedArena:
             view = attach(arena.name)
             try:
                 shared = Replica.from_arena(view)
-                fresh = Replica(spec)
-                a, b = shared.evaluate(), fresh.evaluate()
-                assert a.total_variation == b.total_variation
-                assert a.latencies == b.latencies
+                timing = shared.evaluate()
+                assert timing.total_variation == serial.total_variation
+                assert timing.latencies == serial.latencies
                 for index, move in enumerate(moves):
-                    va = shared.verify(index, move)
-                    vb = fresh.verify(index, move)
-                    assert va.total_variation == vb.total_variation
-                    assert va.degraded == vb.degraded
+                    outcome = shared.verify(index, move)
+                    assert (outcome.total_variation, outcome.degraded) == (
+                        serial_verdict(problem, tree, move)
+                    )
             finally:
                 view.close()
         finally:
@@ -372,16 +353,13 @@ class TestSharedArena:
 # ----------------------------------------------------------------------
 class TestShmPool:
     def _verifier(self, problem, tree, workers=2, **kwargs):
-        return ParallelVerifier(
-            problem, tree, workers=workers, backend="shm", **kwargs
-        )
+        return ParallelVerifier(problem, tree, workers=workers, **kwargs)
 
     def test_shm_verify_batch_matches_serial(self, problem, moves):
         tree = problem.design.tree.clone()
         with self._verifier(problem, tree) as verifier:
             verdicts = verifier.verify_batch(tree, list(moves))
             stats = verifier.stats_dict()
-            assert stats["backend"] == "shm"
             assert stats["arena_generation"] == 1
             assert stats["serial_fallbacks"] == 0
         for move, verdict in zip(moves, verdicts):
@@ -446,39 +424,30 @@ class TestShmPool:
 
     def test_call_overlapped_migrates_queued_payloads(self, problem):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        arena = SharedPlaneArena(tag="call")
-        try:
-            publish_replica_arena(arena, spec, tree)
-            with WorkerPool(2, spec=spec, backend="shm", arena=arena) as pool:
-                assert pool.call("builtins:len", [[1], [1, 2], [], [1, 2, 3]]) == [
-                    1,
-                    2,
-                    0,
-                    3,
-                ]
-                # A worker dead *before* the scatter forfeits nothing:
-                # its queued payloads migrate to the survivor.
-                pool.crash_worker(0)
-                results = pool.call("builtins:len", [[1]] * 5)
-                assert results == [1] * 5
-                assert pool.alive_workers() == 2
-        finally:
-            arena.close()
+        with _replica_pool(problem, tree) as pool:
+            assert pool.call("builtins:len", [[1], [1, 2], [], [1, 2, 3]]) == [
+                1,
+                2,
+                0,
+                3,
+            ]
+            # A worker dead *before* the scatter forfeits nothing: its
+            # queued payloads migrate to the survivor.
+            pool.crash_worker(0)
+            results = pool.call("builtins:len", [[1]] * 5)
+            assert results == [1] * 5
+            assert pool.alive_workers() == 2
         assert _own_shm_segments() == []
 
 
 # ----------------------------------------------------------------------
-# shm backend: end-to-end trajectory identity
+# End-to-end trajectory identity
 # ----------------------------------------------------------------------
 class TestShmLocalOpt:
-    def _run(self, predictor, workers, backend="pipe", top_r=5, iterations=3):
+    def _run(self, predictor, workers, top_r=5, iterations=3):
         prob = SkewVariationProblem.create(build_mini())
         config = LocalOptConfig(
-            max_iterations=iterations,
-            workers=workers,
-            top_r=top_r,
-            pool_backend=backend,
+            max_iterations=iterations, workers=workers, top_r=top_r
         )
         outcome = LocalOptimizer(prob, predictor, config).run()
         trajectory = [
@@ -492,29 +461,79 @@ class TestShmLocalOpt:
         ]
         return trajectory, outcome
 
-    def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor):
+    def test_shm_trajectory_identical_to_serial(self, predictor):
         serial, serial_outcome = self._run(predictor, workers=1)
-        pipe, pipe_outcome = self._run(predictor, workers=2, backend="pipe")
-        shm, shm_outcome = self._run(predictor, workers=2, backend="shm")
-        assert serial == pipe == shm
-        assert (
-            serial_outcome.final_objective_ps
-            == pipe_outcome.final_objective_ps
-            == shm_outcome.final_objective_ps
-        )
-        stats = shm_outcome.stats["parallel"]
-        assert stats["backend"] == "shm"
+        pooled, pooled_outcome = self._run(predictor, workers=2)
+        assert serial == pooled
+        assert serial_outcome.final_objective_ps == pooled_outcome.final_objective_ps
+        stats = pooled_outcome.stats["parallel"]
+        assert stats["arena_generation"] >= 1
         assert stats["serial_fallbacks"] == 0
         assert _own_shm_segments() == []
 
     def test_shm_oversubscribed_trajectory_identical(self, predictor):
         serial, _ = self._run(predictor, workers=1, top_r=2, iterations=2)
-        shm, outcome = self._run(
-            predictor, workers=5, backend="shm", top_r=2, iterations=2
-        )
-        assert serial == shm
+        pooled, outcome = self._run(predictor, workers=5, top_r=2, iterations=2)
+        assert serial == pooled
         workers_stats = outcome.stats["workers"]
         assert workers_stats["requested"] == 5
         if effective_cpu_count() < 5:
             assert "oversubscribe" in workers_stats["note"]
+        assert _own_shm_segments() == []
+
+
+# ----------------------------------------------------------------------
+# U-sweep pool: worker killed inside a sweep-point call
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patching the call target needs forked workers",
+)
+class TestSweepPool:
+    def _global(self, workers):
+        config = GlobalOptConfig(
+            sweep_factors=(1.0, 1.15),
+            max_iterations=2,
+            workers=workers,
+            mp_context="fork",
+        )
+        problem = SkewVariationProblem.create(build_mini())
+        return GlobalOptimizer(problem, config=config).run()
+
+    def test_worker_killed_in_realize_point_realized_serially(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.core import framework
+
+        serial = self._global(workers=1)
+
+        # Forked workers inherit the patched target: the first worker to
+        # enter ``realize_point`` dies there, every later call succeeds.
+        real_point = sweep.realize_point
+        marker = tmp_path / "killed"
+
+        def dying_realize_point(payload):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return real_point(payload)
+            os._exit(CRASH_EXIT_CODE)
+
+        # Main-process realizations only happen on the crash fallback
+        # (workers call their own copy of this function).
+        fallbacks = []
+        real_plan = framework.realize_verified_plan
+
+        def counting_plan(*args, **kwargs):
+            fallbacks.append(os.getpid())
+            return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "realize_point", dying_realize_point)
+        monkeypatch.setattr(framework, "realize_verified_plan", counting_plan)
+        pooled = self._global(workers=2)
+
+        assert marker.exists()
+        assert fallbacks.count(os.getpid()) == 1
+        assert tree_to_json(pooled.tree) == tree_to_json(serial.tree)
+        assert pooled.final_objective_ps == serial.final_objective_ps
         assert _own_shm_segments() == []
